@@ -13,15 +13,24 @@ Columns with no don't care anywhere below the section cannot merge
 with anything (two distinct completely specified columns always
 conflict), so they are left out of the quadratic pair loop — this is a
 pure optimization with no effect on the result.
+
+Pairs are decided on packed per-height column signatures
+(:class:`~repro.isf.compat.ColumnSignatures`): two bignum ANDs per
+pair instead of a BDD pair walk.  Columns outside the product form the
+signatures need, and heights whose window is too wide to pack, fall
+back to the :func:`~repro.isf.compat.compatible_columns` walk; the
+verdicts are identical either way, and every merged clique is still
+re-checked with :func:`~repro.isf.compat.ordered_total`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.cf.charfun import CharFunction
 from repro.cf.width import columns_at_height, substitute_columns
-from repro.isf.compat import compatible_columns, ordered_total
+from repro.isf.compat import ColumnSignatures, compatible_columns, ordered_total
 from repro.reduce.cliquecover import build_compatibility_graph, heuristic_clique_cover
 from repro.reduce.dc import DontCareOracle
 from repro.errors import IncompatibleError
@@ -68,8 +77,10 @@ def algorithm_3_3(
         columns = columns_at_height(bdd, root, height)
         if len(columns) < 2:
             continue
-        mergeable = [c for c in columns if oracle.column_has_dc(c, height)]
-        specified = [c for c in columns if not oracle.column_has_dc(c, height)]
+        mergeable: list[int] = []
+        specified: list[int] = []
+        for c in columns:
+            (mergeable if oracle.column_has_dc(c, height) else specified).append(c)
         if not mergeable:
             continue
         stats.heights_processed += 1
@@ -77,15 +88,20 @@ def algorithm_3_3(
         # columns, so it stays in the graph; but specified-specified
         # pairs are never compatible and are skipped wholesale.
         candidates = mergeable + specified
+        specified_set = set(specified)
+        signatures = ColumnSignatures.for_height(bdd, height)
+        if signatures is not None:
+            compatible = signatures.compatible
+        else:
+            compatible = partial(compatible_columns, bdd)
         pair_count = [0]
 
         def is_compat(a: int, b: int) -> bool:
             if a in specified_set and b in specified_set:
                 return False
             pair_count[0] += 1
-            return compatible_columns(bdd, a, b)
+            return compatible(a, b)
 
-        specified_set = set(specified)
         adjacency, truncated = build_compatibility_graph(
             candidates, is_compat, max_pairs=max_pairs
         )
