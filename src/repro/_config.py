@@ -28,10 +28,11 @@ class Limits:
             in (``max_columns_exact ** 2`` should stay close to
             ``max_compat_pairs``).
         sift_widthsum_node_limit: Node-count threshold below which
-            sifting evaluates the exact sum-of-widths cost at every
-            candidate position (the paper's cost function).  Larger BDDs
-            fall back to the classical live-node-count proxy, which is
-            incrementally maintained and much cheaper.
+            sifting uses the exact sum-of-widths cost at every
+            candidate position (the paper's cost function, kept at
+            O(width of one section) per swap).  Larger BDDs fall back
+            to the classical live-node-count proxy, which is O(1) per
+            swap.
         sift_max_growth: Abort growing a sifting direction when the BDD
             exceeds this multiple of its size at the start of the move.
     """

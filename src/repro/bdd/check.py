@@ -26,9 +26,11 @@ This module is the self-check layer:
 Each check returns structured :class:`InvariantViolation` records; the
 ``verify_*`` wrappers raise :class:`~repro.errors.IntegrityError`
 carrying them.  ``REPRO_SELFCHECK=1`` arms the hooks wired through the
-sweep executor (row boundaries), ``repro.bdd.io`` (verify-on-load), and
-the sift-degradation path, so a long sweep can prove every manager it
-touched was consistent — at a cost, which is why it is opt-in.
+sweep executor (row boundaries), ``repro.bdd.io`` (verify-on-load), the
+sift-degradation path, and the end of every width-sum sift (the
+incremental cost against one full pass), so a long sweep can prove
+every manager it touched was consistent — at a cost, which is why it
+is opt-in.
 
 Counters (:data:`COUNTERS`) record how many checks ran and how many
 violations were found; the executor surfaces them in the BENCH schema
@@ -55,6 +57,7 @@ __all__ = [
     "verify_charfunction",
     "verify_manager",
     "verify_payload",
+    "verify_width_sum",
 ]
 
 #: Process-local self-check accounting (surfaced in BENCH payloads).
@@ -74,9 +77,9 @@ class InvariantViolation:
 
     ``kind`` names the invariant class (``ordering``, ``redundant``,
     ``unique_table``, ``dangling``, ``counter``, ``cache``,
-    ``terminal``, ``output_level``, ``format``); ``where`` locates it
-    (a node id, variable name, or payload index) and ``detail`` says
-    what was expected versus found.
+    ``terminal``, ``output_level``, ``format``, ``width_sum``); ``where``
+    locates it (a node id, variable name, or payload index) and
+    ``detail`` says what was expected versus found.
     """
 
     kind: str
@@ -451,6 +454,30 @@ def verify_charfunction(cf, *, what: str | None = None) -> None:
 def verify_payload(payload: Mapping, *, what: str = "forest payload") -> None:
     """Raise :class:`IntegrityError` when :func:`check_payload` finds anything."""
     _raise_if(check_payload(payload), what)
+
+
+def verify_width_sum(
+    bdd, root: int, tracked: int, *, what: str = "sifting width sum"
+) -> None:
+    """Raise :class:`IntegrityError` when an incrementally kept sum of widths drifts.
+
+    ``tracked`` is :attr:`~repro.bdd.reorder.SiftSession.width_sum`;
+    it must equal one full :func:`~repro.bdd.reorder.width_sum_cost`
+    pass over ``root``.  The ``REPRO_SELFCHECK`` hook runs this once at
+    the end of every width-sum sift.
+    """
+    from repro.bdd.reorder import width_sum_cost
+
+    full = int(width_sum_cost(bdd, [root]))
+    out: list[InvariantViolation] = []
+    if tracked != full:
+        _violation(
+            out,
+            "width_sum",
+            f"root {root}",
+            f"incremental sum of widths {tracked}, full pass {full}",
+        )
+    _raise_if(out, what)
 
 
 def selfcheck_live_managers(*, what: str = "live managers") -> int:

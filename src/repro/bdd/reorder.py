@@ -10,9 +10,12 @@ module implements:
   performs adjacent-level swaps in place, physically reclaiming nodes
   that die during a swap so that the live size is tracked exactly.
 * :func:`sift` — sifting with optional precedence constraints
-  ``(above_vid, below_vid)`` and a pluggable cost function (live node
-  count by default; the experiment pipeline passes the CF width sum for
-  small enough BDDs, per ``repro._config.LIMITS``).
+  ``(above_vid, below_vid)`` and a pluggable cost function.  The live
+  node count (the default) and the sum of widths
+  (:func:`width_sum_cost`, which the experiment pipeline passes for
+  small enough BDDs, per ``repro._config.LIMITS``) are both kept
+  through each swap by the session, so reading the cost at a position
+  is O(1); any other ``cost_fn`` is called once per position.
 * :func:`set_order` — reach an arbitrary target order by bubbling.
 
 All reordering mutates nodes in place, so node ids held by the caller
@@ -24,12 +27,27 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
+from repro.bdd import check
 from repro.bdd import governor as _governor
-from repro.bdd.manager import BDD
+from repro.bdd import reference
+from repro.bdd.manager import FALSE, BDD
+from repro.bdd.traversal import crossing_counts
 from repro.errors import OrderingError
 from repro._config import LIMITS
 
 CostFn = Callable[[BDD, Sequence[int]], float]
+
+
+def width_sum_cost(bdd: BDD, roots: Sequence[int]) -> float:
+    """Sum of widths of ``roots[0]`` (Def. 3.5), the sifting cost of Sect. 5.1.
+
+    One full :func:`~repro.bdd.traversal.crossing_counts` pass; equals
+    :func:`repro.cf.width.sum_of_widths`.  Passed as ``cost_fn``,
+    :func:`sift` does not call it per position but keeps the same value
+    through every swap (:meth:`SiftSession.track_widths`).
+    """
+    counts = crossing_counts(bdd, roots[:1])
+    return float(1 + sum(counts[: bdd.num_vars]))
 
 
 class SiftSession:
@@ -45,6 +63,9 @@ class SiftSession:
         self.roots = list(dict.fromkeys(roots))  # dedupe, keep order
         self._ref: dict[int, int] = {}
         self.size = 0
+        # Crossing sections of one root, kept by track_widths().
+        self.sections: list[set[int]] | None = None
+        self.width_sum = 0
         self._init_refs()
 
     def _init_refs(self) -> None:
@@ -64,6 +85,47 @@ class SiftSession:
         # Reclaim any garbage not reachable from the roots so that the
         # unique tables agree with the reference counts.
         bdd.collect(self.roots)
+
+    # -- incremental sum of widths -------------------------------------
+
+    def track_widths(self, root: int) -> None:
+        """Keep the sum of widths of ``root`` in :attr:`width_sum` from now on.
+
+        Section ``s`` (the cut above level ``s``) holds Def. 3.5's
+        crossing targets: the distinct non-FALSE cofactors of ``root``
+        w.r.t. the variables above the cut.  They depend only on the
+        *set* of those variables, and a swap keeps every node id
+        denoting the same function, so swapping levels ``l``/``l+1``
+        changes section ``l+1`` alone, and its new content is one
+        cofactor step from section ``l`` (:meth:`_next_section`).  Each
+        swap therefore costs O(width of one section); building the
+        sections here costs O(sum of widths).  ``width_sum`` is
+        ``1 + sum of |section s|`` over ``s < num_vars``, i.e.
+        :func:`width_sum_cost` (height 0 counts 1 by definition).
+        """
+        section = {root} - {FALSE}
+        sections = []
+        for level in range(self.bdd.num_vars):
+            sections.append(section)
+            section = self._next_section(section, level)
+        self.sections = sections
+        self.width_sum = 1 + sum(len(s) for s in sections)
+
+    def _next_section(self, section: set[int], level: int) -> set[int]:
+        """The section below ``level`` from the section above it."""
+        bdd = self.bdd
+        x = bdd._var_at_level[level]
+        vid_arr, lo_arr, hi_arr = bdd._vid, bdd._lo, bdd._hi
+        out: set[int] = set()
+        add = out.add
+        for g in section:
+            if g > 1 and vid_arr[g] == x:
+                add(lo_arr[g])
+                add(hi_arr[g])
+            else:
+                add(g)
+        out.discard(FALSE)
+        return out
 
     # -- reference-count helpers --------------------------------------
 
@@ -164,6 +226,11 @@ class SiftSession:
         # freed by the _decref cascade above die via their generation
         # stamps; order-sensitive tiers retire on the epoch bump.
         bdd._note_reorder()
+        sections = self.sections
+        if sections is not None:
+            below = self._next_section(sections[level], level)
+            self.width_sum += len(below) - len(sections[level + 1])
+            sections[level + 1] = below
 
     def move_var(self, vid: int, target_level: int) -> None:
         """Move one variable to ``target_level`` by repeated swaps."""
@@ -210,11 +277,14 @@ def sift(
     """Rudell sifting under precedence constraints; returns final cost.
 
     Each variable in turn is moved across its admissible level range
-    (down first, then up), the cost is sampled at every position, and
-    the variable is parked at the best one.  ``cost_fn`` defaults to the
-    live node count; the Table 4 pipeline passes the CF width sum for
-    BDDs under ``LIMITS.sift_widthsum_node_limit`` nodes, matching the
-    paper's cost function.
+    (down first, then up), the cost is read at every position, and the
+    variable is parked at the best one.  ``cost_fn`` defaults to the
+    live node count; the Table 4 pipeline passes :func:`width_sum_cost`
+    for BDDs under ``LIMITS.sift_widthsum_node_limit`` nodes, matching
+    the paper's cost function.  Both are kept by the session through
+    each swap, so a read is O(1); under ``reference.SEED_MODE`` the
+    width sum is recomputed by a full pass per position, as is any
+    other ``cost_fn``.
     """
     if max_growth is None:
         max_growth = LIMITS.sift_max_growth
@@ -225,8 +295,14 @@ def sift(
                 f"must be above {bdd.name_of(below)}"
             )
     session = SiftSession(bdd, roots)
+    tracked = cost_fn is width_sum_cost and not reference.SEED_MODE
+    width_root = roots[0] if roots else FALSE
+    if tracked:
+        session.track_widths(width_root)
 
     def cost() -> float:
+        if tracked:
+            return float(session.width_sum)
         if cost_fn is None:
             return float(session.size)
         return float(cost_fn(bdd, roots))
@@ -236,10 +312,7 @@ def sift(
         round_start = current
         # Sift variables in decreasing order of their level population:
         # busiest levels first, as in Rudell's heuristic.
-        population: dict[int, int] = {v: 0 for v in range(bdd.num_vars)}
-        for v in range(bdd.num_vars):
-            population[v] = len(bdd._unique[v])
-        order = sorted(range(bdd.num_vars), key=lambda v: -population[v])
+        order = sorted(range(bdd.num_vars), key=lambda v: -len(bdd._unique[v]))
         for vid in order:
             # Cooperative budget check between variables: a raise here
             # (or inside _sift_one, between swaps) leaves the manager
@@ -249,6 +322,8 @@ def sift(
             current = _sift_one(bdd, session, vid, precedence, cost, max_growth)
         if current >= round_start:
             break
+    if tracked and check.selfcheck_enabled():
+        check.verify_width_sum(bdd, width_root, session.width_sum)
     return current
 
 

@@ -107,9 +107,8 @@ def crossing_counts(
     target ``u`` belongs to every section between the *highest* edge
     into it (exclusive) and its own level (inclusive), so one
     min-parent-level pass plus a difference array over levels yields
-    all counts at once.  The set-based walk is Θ(edges × span) — it
-    dominated the sifting cost function's profile — while this is
-    linear in the node count.
+    all counts at once.  The set-based walk is Θ(edges × span), while
+    this is linear in the node count.
     """
     if reference.SEED_MODE:
         return [
@@ -119,24 +118,14 @@ def crossing_counts(
     level_of = bdd._level_of
     vid_arr, lo_arr, hi_arr = bdd._vid, bdd._lo, bdd._hi
     # min_from[target]: level of the highest edge into target (-1 for
-    # roots).  Node-id-indexed scratch arrays rather than a dict: this
-    # runs once per sift cost evaluation, so per-edge dict hashing
-    # dominates.  The stamp array makes the scratch reusable across
-    # calls without clearing (a slot is valid only if stamped with the
-    # current call's counter).
-    n_slots = len(vid_arr)
-    scratch = getattr(bdd, "_cross_scratch", None)
-    if scratch is None or len(scratch[0]) < n_slots:
-        scratch = ([0] * n_slots, [0] * n_slots, [0])
-        bdd._cross_scratch = scratch
-    stamp_arr, min_from, counter = scratch
-    stamp = counter[0] + 1
-    counter[0] = stamp
+    # roots), ``unseen`` until the target is first reached.  A node-id-
+    # indexed list rather than a dict: per-edge dict hashing dominates.
+    unseen = t + 1
+    min_from = [unseen] * len(vid_arr)
     touched: list[int] = []
     stack: list[int] = []
     for r in roots:
-        if r != FALSE and (count_true or r != TRUE) and stamp_arr[r] != stamp:
-            stamp_arr[r] = stamp
+        if r != FALSE and (count_true or r != TRUE) and min_from[r] == unseen:
             min_from[r] = -1
             touched.append(r)
             if r > 1:
@@ -146,23 +135,21 @@ def crossing_counts(
         level = level_of[vid_arr[u]]
         child = lo_arr[u]
         if child != FALSE and (count_true or child != TRUE):
-            if stamp_arr[child] != stamp:
-                stamp_arr[child] = stamp
-                min_from[child] = level
-                touched.append(child)
-                if child > 1:
-                    stack.append(child)
-            elif level < min_from[child]:
+            mf = min_from[child]
+            if level < mf:
+                if mf == unseen:
+                    touched.append(child)
+                    if child > 1:
+                        stack.append(child)
                 min_from[child] = level
         child = hi_arr[u]
         if child != FALSE and (count_true or child != TRUE):
-            if stamp_arr[child] != stamp:
-                stamp_arr[child] = stamp
-                min_from[child] = level
-                touched.append(child)
-                if child > 1:
-                    stack.append(child)
-            elif level < min_from[child]:
+            mf = min_from[child]
+            if level < mf:
+                if mf == unseen:
+                    touched.append(child)
+                    if child > 1:
+                        stack.append(child)
                 min_from[child] = level
     diff = [0] * (t + 2)
     for u in touched:

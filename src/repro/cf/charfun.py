@@ -250,8 +250,6 @@ class CharFunction:
         roots; pass any *other* BDD roots you still hold on this
         manager via ``protect``.
         """
-        from repro.cf.width import sum_of_widths  # local import: avoids a cycle
-
         if cost == "auto":
             cost = (
                 "widthsum"
@@ -260,8 +258,7 @@ class CharFunction:
             )
         cost_fn = None
         if cost == "widthsum":
-            def cost_fn(bdd: BDD, roots: Sequence[int]) -> float:
-                return float(sum_of_widths(bdd, roots[0]))
+            cost_fn = reorder.width_sum_cost
         elif cost != "nodes":
             raise ValueError(f"unknown cost {cost!r}")
         precedence = self.precedence_constraints()

@@ -12,10 +12,10 @@ the BDD (Sect. 3.1, footnote: the all-zero column is not counted, which
 corresponds to excluding the constant 0 target).
 
 Width *counts* go through :func:`~repro.bdd.traversal.crossing_counts`
-(one linear pass, no set materialization — this is the sifting cost
-function's hot path); column *sets* go through the memoized
-:func:`~repro.bdd.traversal.sections_of` so Algorithm 3.3's per-height
-queries share one traversal.
+(one linear pass, no set materialization); column *sets* go through the
+memoized :func:`~repro.bdd.traversal.sections_of` so Algorithm 3.3's
+per-height queries share one traversal.  Sifting keeps its width-sum
+cost incrementally instead (see the note at the end of this module).
 """
 
 from __future__ import annotations
@@ -128,12 +128,14 @@ def substitute_columns(
     return memo[root]
 
 
-# NOTE: an incrementally maintained sum-of-widths cost — patching only
-# counts[l+1] after a swap of levels l/l+1 (the one section a swap can
-# change), by rescanning the unique tables above the section — was
-# prototyped here and measured *slower* than calling crossing_counts()
-# after every swap: the full pass is a single tight scratch-array loop
-# over live nodes, while the per-swap rescan pays Python-level set
-# insertion on a comparable node count.  Keep the closure-over-
-# crossing_counts form unless the full pass itself shows up in a
-# profile again.
+# NOTE: sifting does not call sum_of_widths() per position.  The section
+# above level s holds the distinct non-FALSE cofactors of the root
+# w.r.t. the variables above it, so it depends only on the *set* of
+# those variables; an adjacent swap of levels l/l+1 keeps node ids
+# denoting the same functions and so changes section l+1 alone, which
+# is one cofactor step from section l.  SiftSession.track_widths keeps
+# every section that way at O(width) per swap.  An earlier attempt
+# patched the same section by rescanning the unique tables of all
+# levels above it — a pass over a comparable node count with Python
+# set insertion, ~14x slower than the full crossing_counts() pass —
+# instead of reading the one section above it.
