@@ -55,7 +55,7 @@ def env_flag(name: str, default: bool = False) -> bool:
     An unset or empty variable yields ``default``; any of ``0``,
     ``false``, ``no``, ``off`` (in any letter case) reads as False and
     everything else as True.  Every boolean environment knob in the
-    repo goes through this helper so ``REPRO_TT_FASTPATH=False`` and
+    repo goes through this helper so ``REPRO_SELFCHECK=False`` and
     ``REPRO_SELFCHECK=OFF`` mean what they say instead of silently
     enabling the feature.
     """

@@ -23,13 +23,10 @@ and subsequent operations on the same manager succeed (pinned by
 budget may be overshot by up to one check interval's worth of work —
 this is a governor, not a hard rlimit.
 
-Step accounting is evaluator-work-proportional regardless of the code
-path: the word-parallel truth-table fast path (:mod:`repro.bdd.tt`)
-charges ``max(1, word_bits // 64)`` steps per node evaluation / fold
-variable / build step — one step per machine word touched — so a
-``max_steps`` budget constrains roughly the same amount of real work
-whether an operation resolves through the node-pair kernel or
-collapses into bitwise word arithmetic.
+Step accounting: the kernel charges one step per visited frame, the
+same count it adds to the manager's ``kernel_steps``.  Algorithm 3.3's
+packed column signatures (:class:`repro.isf.compat.ColumnSignatures`)
+charge one step per 64-bit plane word, to the budgets only.
 
 Budgets nest: every active budget is checked at each checkpoint, and a
 raised error carries ``.budget`` so a caller can tell its own limit

@@ -30,12 +30,6 @@ in the style of mature BDD packages (CUDD/ABC):
   its generation, which lazily invalidates exactly the entries
   touching it, while every surviving entry keeps serving hits because
   in-place reordering preserves the function denoted by a node id.
-* **Word-parallel fast path.**  When a frame's operands all live in
-  the bottom window of the order (:mod:`repro.bdd.tt`), the subproblem
-  is evaluated as bitwise operations on truth-table words and rebuilt
-  through the unique table instead of recursing node by node.  The
-  words charge kernel steps proportionally (one step per 64-bit word),
-  so governor budgets keep bounding real work.
 
 The kernel reads the manager's parallel arrays directly; it lives in
 its own module so the manager file stays the API surface.
@@ -46,7 +40,6 @@ from __future__ import annotations
 from itertools import islice
 
 from repro.bdd import governor as _governor
-from repro.bdd import tt as _tt
 from repro.bdd.hashtable import (
     KIND_BINARY,
     KIND_COFACTOR,
@@ -66,9 +59,6 @@ _MULT = 2654435761
 
 #: Level assigned to terminal nodes: below every variable.
 TERMINAL_LEVEL = 1 << 30
-
-#: Sentinel window base that disables the fast path (above any level).
-_NO_WINDOW = 1 << 31
 
 FALSE = 0
 TRUE = 1
@@ -408,23 +398,20 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
 
     The work stack holds frames (tagged tuples); ``out`` is the result
     stack.  A visit frame either resolves via the operator table's
-    terminal rule, hits its tier, resolves through the word-parallel
-    truth-table window (operands entirely inside the bottom window of
-    the order), or pushes a combine frame plus the two cofactor
-    visits.  Quantification and composition combine through delegated
-    OR/AND/ITE visits followed by a store frame, so the whole
-    evaluation — including the nested products — stays on this one
-    stack.
+    terminal rule, hits its tier, or pushes a combine frame plus the
+    two cofactor visits.  Quantification and composition combine
+    through delegated OR/AND/ITE visits followed by a store frame, so
+    the whole evaluation — including the nested products — stays on
+    this one stack.  Each visit is one kernel step.
 
     When a :mod:`repro.bdd.governor` budget is active, the loop runs a
     checkpoint every :data:`~repro.bdd.governor.CHECK_INTERVAL` steps
     (once on entry, and the sub-interval remainder is charged on exit
-    so budgets accumulate across many short runs); fast-path word
-    operations charge their own proportional steps inside
-    :mod:`repro.bdd.tt`.  A budget violation raises between
-    iterations: the partial frames are discarded, every node and cache
-    entry created so far is valid, and the charged steps still land in
-    ``_kernel_steps`` — the manager stays consistent and usable.
+    so budgets accumulate across many short runs).  A budget violation
+    raises between iterations: the partial frames are discarded, every
+    node and cache entry created so far is valid, and the charged steps
+    still land in ``_kernel_steps`` — the manager stays consistent and
+    usable.
     """
     vid_arr = bdd._vid
     lo_arr = bdd._lo
@@ -437,17 +424,6 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
     mk = bdd.mk
     terminal_rules = _TERMINAL
     commutative = _COMMUTATIVE
-
-    # Truth-table window: frames whose operands all sit at or below
-    # ``fbase`` resolve by word-parallel evaluation.
-    if _tt.enabled():
-        st = _tt.state(bdd)
-        fbase = st.base if st is not None else _NO_WINDOW
-    else:
-        st = None
-        fbase = _NO_WINDOW
-    word_of = _tt.word_of
-    node_of_word = _tt.node_of_word
 
     out: list[int] = []
     work: list[tuple] = [(_VISIT, op, a, b, c)]
@@ -501,22 +477,6 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                     cache.misses += 1
                     la = level_of[vid_arr[a]]
                     lb = level_of[vid_arr[b]]
-                    if la >= fbase and lb >= fbase:
-                        wa = word_of(bdd, st, a)
-                        wb = word_of(bdd, st, b)
-                        if op == OP_AND:
-                            w = wa & wb
-                        elif op == OP_OR:
-                            w = wa | wb
-                        else:
-                            w = wa ^ wb
-                        r = node_of_word(bdd, st, w)
-                        cache.put_n2(key, a, b, r, gen)
-                        bdd._tt_fast_hits += 1
-                        out.append(r)
-                        continue
-                    if st is not None:
-                        bdd._tt_fast_misses += 1
                     if la <= lb:
                         vid = vid_arr[a]
                         a0 = lo_arr[a]
@@ -545,16 +505,6 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                             out.append(r)
                             continue
                     cache.misses += 1
-                    if level_of[vid_arr[a]] >= fbase:
-                        w = st.full ^ word_of(bdd, st, a)
-                        r = node_of_word(bdd, st, w)
-                        cache.put_n1(a, a, r, gen)
-                        cache.put_n1(r, r, a, gen)
-                        bdd._tt_fast_hits += 1
-                        out.append(r)
-                        continue
-                    if st is not None:
-                        bdd._tt_fast_misses += 1
                     push((_COMBINE, op, a, vid_arr[a], a, -1, -1))
                     push((_VISIT, op, hi_arr[a], -1, -1))
                     push((_VISIT, op, lo_arr[a], -1, -1))
@@ -568,18 +518,6 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                     la = level_of[vid_arr[a]]  # f is internal past the terminal rule
                     lb = TERMINAL_LEVEL if b <= 1 else level_of[vid_arr[b]]
                     lc = TERMINAL_LEVEL if c <= 1 else level_of[vid_arr[c]]
-                    if la >= fbase and lb >= fbase and lc >= fbase:
-                        wa = word_of(bdd, st, a)
-                        w = (wa & word_of(bdd, st, b)) | (
-                            (st.full ^ wa) & word_of(bdd, st, c)
-                        )
-                        r = node_of_word(bdd, st, w)
-                        cache.put_n3(key, a, b, c, r, gen)
-                        bdd._tt_fast_hits += 1
-                        out.append(r)
-                        continue
-                    if st is not None:
-                        bdd._tt_fast_misses += 1
                     top = la if la <= lb else lb
                     if lc < top:
                         top = lc
@@ -636,18 +574,6 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                     if v >= 0:
                         out.append(v)
                         continue
-                    if level_of[vid_arr[a]] >= fbase:
-                        ps = _tt.group_positions(bdd, st, b)
-                        w = _tt.quantify(
-                            bdd, st, word_of(bdd, st, a), ps, op == OP_FORALL
-                        )
-                        r = node_of_word(bdd, st, w)
-                        cache.put_n1(key, a, r, gen)
-                        bdd._tt_fast_hits += 1
-                        out.append(r)
-                        continue
-                    if st is not None:
-                        bdd._tt_fast_misses += 1
                     vid = vid_arr[a]
                     push((_QUANT, op, key, a, vid, vid in groups[b]))
                     push((_VISIT, op, hi_arr[a], b, -1))

@@ -37,10 +37,10 @@ from pathlib import Path
 #: ``row_status`` records to the BENCH_PR3-style payload.  v4 adds the
 #: journal/resume fields (``rows_resumed`` in :data:`SWEEP_KEYS`,
 #: per-sweep ``journal_path``) and the :data:`SELFCHECK_KEYS` counters
-#: of the ``REPRO_SELFCHECK`` invariant-verification layer.  v5 adds
+#: of the ``REPRO_SELFCHECK`` invariant-verification layer.  v5 added
 #: the truth-table fast-path counters (``tt_fast_hits`` /
-#: ``tt_fast_misses`` / ``tt_words``, see :mod:`repro.bdd.tt`) to the
-#: additive engine counters and per-record deltas, and a host block
+#: ``tt_fast_misses`` / ``tt_words``; the fast path has since been
+#: removed and the counters with it) and a host block
 #: (``python_version`` / ``platform`` / ``cpu_count``) to the payload
 #: ``meta``.  v6 adds the query service's per-shard counter blocks
 #: (:mod:`repro.service`): a ``shards`` map of per-family additive
@@ -80,9 +80,6 @@ ADDITIVE_KEYS = (
     "cache_inserts",
     "cache_evictions",
     "cache_invalidations",
-    "tt_fast_hits",
-    "tt_fast_misses",
-    "tt_words",
 )
 
 #: Sweep-outcome counters the parallel executor folds into its
@@ -124,9 +121,6 @@ DEAD_TOTALS = {
     "cache_inserts": 0,
     "cache_evictions": 0,
     "cache_invalidations": 0,
-    "tt_fast_hits": 0,
-    "tt_fast_misses": 0,
-    "tt_words": 0,
 }
 
 #: Counter totals merged from worker processes (see
@@ -148,9 +142,6 @@ def fold_dead(bdd) -> None:
         DEAD_TOTALS["op_calls"] += bdd._op_calls
         DEAD_TOTALS["kernel_steps"] += bdd._kernel_steps
         DEAD_TOTALS["peak_nodes"] = max(DEAD_TOTALS["peak_nodes"], bdd._peak_alive)
-        DEAD_TOTALS["tt_fast_hits"] += bdd._tt_fast_hits
-        DEAD_TOTALS["tt_fast_misses"] += bdd._tt_fast_misses
-        DEAD_TOTALS["tt_words"] += bdd._tt_words
         for tier in bdd.iter_cache_tiers():
             DEAD_TOTALS["cache_hits"] += tier.hits
             DEAD_TOTALS["cache_misses"] += tier.misses
@@ -173,9 +164,6 @@ def snapshot() -> dict:
     for bdd in list(REGISTRY):
         totals["op_calls"] += bdd._op_calls
         totals["kernel_steps"] += bdd._kernel_steps
-        totals["tt_fast_hits"] += bdd._tt_fast_hits
-        totals["tt_fast_misses"] += bdd._tt_fast_misses
-        totals["tt_words"] += bdd._tt_words
         live_peak = max(live_peak, bdd._peak_alive)
         alive += bdd.num_alive_nodes()
         for tier in bdd.iter_cache_tiers():
@@ -210,6 +198,8 @@ def counter_delta(before: dict, after: dict) -> dict:
     delta["peak_nodes"] = after["peak_nodes"]
     for key in SELFCHECK_KEYS:
         delta[key] = after.get(key, 0) - before.get(key, 0)
+    # Constant zeros: perfbench/rep.py (BDD_COUNTERS) still reads them.
+    delta.update(tt_words=0, tt_fast_hits=0, tt_fast_misses=0)
     return delta
 
 
@@ -264,9 +254,6 @@ def record(name: str, **extra):
         hits = after["cache_hits"] - before["cache_hits"]
         misses = after["cache_misses"] - before["cache_misses"]
         lookups = hits + misses
-        tt_hits = after["tt_fast_hits"] - before["tt_fast_hits"]
-        tt_misses = after["tt_fast_misses"] - before["tt_fast_misses"]
-        tt_lookups = tt_hits + tt_misses
         RECORDS[name] = {
             "wall_s": wall,
             "op_calls": ops,
@@ -276,10 +263,6 @@ def record(name: str, **extra):
             "cache_hits": hits,
             "cache_misses": misses,
             "cache_hit_rate": (hits / lookups) if lookups else 0.0,
-            "tt_fast_hits": tt_hits,
-            "tt_fast_misses": tt_misses,
-            "tt_fast_hit_rate": (tt_hits / tt_lookups) if tt_lookups else 0.0,
-            "tt_words": after["tt_words"] - before["tt_words"],
             "peak_nodes": after["peak_nodes"],
             **extra,
         }

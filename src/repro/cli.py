@@ -375,18 +375,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     pquery.add_argument("--tenant", default="default")
     pquery.add_argument(
-        "--no-tt-fastpath",
-        action="store_true",
-        help="disable the truth-table fast path for this query",
-    )
-    pquery.add_argument(
-        "--tt-window",
-        type=int,
-        default=None,
-        metavar="K",
-        help="truth-table fast-path window for this query",
-    )
-    pquery.add_argument(
         "--budget-steps",
         type=int,
         default=None,
@@ -956,11 +944,6 @@ def _cmd_query(args) -> int:
     if args.pla_file:
         with open(args.pla_file) as handle:
             params["pla"] = handle.read()
-    tt = {}
-    if args.no_tt_fastpath:
-        tt["fastpath"] = False
-    if args.tt_window is not None:
-        tt["window"] = args.tt_window
     budget = {}
     if args.budget_steps is not None:
         budget["max_steps"] = args.budget_steps
@@ -976,7 +959,6 @@ def _cmd_query(args) -> int:
                 args.op,
                 params,
                 tenant=args.tenant,
-                tt=tt or None,
                 budget=budget or None,
                 deadline_ms=args.deadline_ms,
             )

@@ -7,7 +7,6 @@ Requests::
     {"id": "c1", "op": "width_reduce",
      "params": {"benchmark": "5-7-11-13 RNS"},
      "tenant": "ci",                      # optional, default "default"
-     "tt": {"fastpath": false, "window": 6},   # optional per-request
      "budget": {"max_steps": 2000000, "max_nodes": 500000,
                 "deadline_s": 30.0},      # optional per-request
      "deadline_ms": 1500}                 # optional end-to-end deadline
@@ -28,7 +27,9 @@ admission; queueing time counts) and machine-readable resilience error
 ``code`` values — ``overloaded``, ``deadline_exceeded``,
 ``circuit_open`` — with an optional ``retry_after`` backoff hint in
 seconds.  ``code`` is present only for those mapped conditions; plain
-engine errors keep the v2 shape (type + message).
+engine errors keep the v2 shape (type + message).  Unknown top-level
+members are ignored, so a ``tt`` member from clients of the removed
+truth-table fast path is accepted and has no effect.
 
 Ops: ``ping``, ``stats``, ``invalidate``, ``width_reduce``,
 ``decompose``, ``cascade``, ``pla_reduce``, ``shutdown``.
@@ -38,9 +39,9 @@ batching, the cross-request result cache, and (when configured) the
 write-ahead journal.
 
 Query identity is *content-addressed*: :func:`query_key` digests the
-op plus its canonicalized parameters (and any per-request ``tt`` /
-``budget`` overrides, which change how — not what — is computed but
-must not be coalesced across), yielding the ``query:<op>/<digest>``
+op plus its canonicalized parameters (and any per-request ``budget``
+override, which changes how — not what — is computed but must not be
+coalesced across), yielding the ``query:<op>/<digest>``
 key used for journaling, batching, and cost estimates.  Two clients
 asking the identical question share one key, which is exactly what
 lets the batcher answer both with one manager pass.
@@ -105,7 +106,6 @@ class Request:
     op: str
     params: dict[str, Any] = field(default_factory=dict)
     tenant: str = "default"
-    tt: dict[str, Any] | None = None
     budget: dict[str, Any] | None = None
     #: End-to-end deadline in milliseconds, measured from admission —
     #: queueing time counts, so an overloaded daemon fails these fast
@@ -129,7 +129,6 @@ class Request:
             key = query_key(
                 self.op,
                 self.params,
-                tt=self.tt,
                 budget=self.budget,
                 deadline_ms=self.deadline_ms,
             )
@@ -146,7 +145,6 @@ class Request:
             "op": self.op,
             "params": self.params,
             "tenant": self.tenant,
-            "tt": self.tt,
             "budget": self.budget,
         }
         if self.deadline_ms is not None:
@@ -155,12 +153,13 @@ class Request:
 
     @classmethod
     def from_doc(cls, doc: dict, *, id: str = "journal") -> "Request":
+        # Journals written before the fast path was removed may carry a
+        # ``tt`` member; it never changed an answer, so it is dropped.
         return cls(
             id=id,
             op=doc["op"],
             params=dict(doc.get("params") or {}),
             tenant=doc.get("tenant") or "default",
-            tt=doc.get("tt"),
             budget=doc.get("budget"),
             deadline_ms=doc.get("deadline_ms"),
         )
@@ -170,7 +169,6 @@ def query_key(
     op: str,
     params: dict[str, Any],
     *,
-    tt: dict | None = None,
     budget: dict | None = None,
     deadline_ms: int | None = None,
 ) -> str:
@@ -187,7 +185,6 @@ def query_key(
     doc: dict[str, Any] = {
         "op": op,
         "params": params,
-        "tt": tt or None,
         "budget": budget or None,
     }
     if deadline_ms is not None:
@@ -237,14 +234,6 @@ def parse_request(line: str | bytes) -> Request:
     tenant = raw.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError("'tenant' must be a non-empty string")
-    tt = raw.get("tt")
-    if tt is not None:
-        if not isinstance(tt, dict) or set(tt) - {"fastpath", "window"}:
-            raise ProtocolError("'tt' accepts only 'fastpath' and 'window'")
-        if "window" in tt and not isinstance(tt["window"], int):
-            raise ProtocolError("'tt.window' must be an integer")
-        if "fastpath" in tt and not isinstance(tt["fastpath"], bool):
-            raise ProtocolError("'tt.fastpath' must be a boolean")
     budget = raw.get("budget")
     if budget is not None:
         if not isinstance(budget, dict) or set(budget) - {
@@ -264,7 +253,6 @@ def parse_request(line: str | bytes) -> Request:
         op=op,
         params=params,
         tenant=tenant,
-        tt=tt,
         budget=budget,
         deadline_ms=deadline_ms,
     )

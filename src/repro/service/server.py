@@ -39,9 +39,9 @@ caching, and journaling; BDD work runs in one of two modes.
 Either way a **cross-request result cache** sits in front of the
 queue: repeated identical queries (same content-addressed key) are
 answered from the cache with zero engine passes.  Epoch-based
-invalidation keeps it honest — a worker restart, a tt-override
-execution, or an explicit ``invalidate`` op bumps the epoch, which
-orphans every older entry at once.
+invalidation keeps it honest — a worker restart or an explicit
+``invalidate`` op bumps the epoch, which orphans every older entry at
+once.
 
 PR 9 wraps the daemon in a **resilience layer**: bounded admission with
 load shedding (``overloaded`` + retry-after, never an unbounded
@@ -67,7 +67,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro import _faults
-from repro.bdd import stats, tt
+from repro.bdd import stats
 from repro.errors import (
     CircuitOpenError,
     DeadlineError,
@@ -110,10 +110,10 @@ class ResultCache:
     key, so a hit is *definitionally* the same computation.  What a
     key cannot capture is service-side state that changes answers or
     their warmth guarantees out from under it — a rebuilt (cold)
-    worker, a tt-override execution that rewired memo state, an
-    operator who knows better.  Those bump :attr:`epoch`; entries
-    remember the epoch they were stored under and a stale epoch is a
-    miss, which retires the whole cache in O(1) without walking it.
+    worker, an operator who knows better.  Those bump :attr:`epoch`;
+    entries remember the epoch they were stored under and a stale
+    epoch is a miss, which retires the whole cache in O(1) without
+    walking it.
     """
 
     def __init__(self, size: int = DEFAULT_RESULT_CACHE) -> None:
@@ -357,17 +357,13 @@ class Service:
         (manager stays usable) instead of wedging the worker thread.
         """
         budget = self._effective_budget(req.budget, remaining_s)
-        tt_over = req.tt or {}
         t0 = time.perf_counter()
-        with tt.overrides(
-            fastpath=tt_over.get("fastpath"), window=tt_over.get("window")
-        ):
-            family, result = self.pool.execute(
-                req.op,
-                req.params,
-                budget=budget,
-                tenant_budget=self.admission.tenant_budget(req.tenant),
-            )
+        family, result = self.pool.execute(
+            req.op,
+            req.params,
+            budget=budget,
+            tenant_budget=self.admission.tenant_budget(req.tenant),
+        )
         return family, result, time.perf_counter() - t0
 
     def _effective_budget(
@@ -479,14 +475,7 @@ class Service:
                     key=key, result=result, wall_s=wall, pid=os.getpid()
                 ),
             )
-        if req.tt:
-            # A tt-override execution rewired truth-table memo state in
-            # its worker; cached answers may have been produced under
-            # assumptions that no longer hold.  Bump the epoch (and do
-            # not cache the override's own result).
-            self.result_cache.invalidate()
-        else:
-            self.result_cache.put(key, family, result)
+        self.result_cache.put(key, family, result)
         self._resolve(key, result=result, family=family, wall=wall)
 
     async def _dispatch(self, item: QueuedQuery) -> None:
@@ -528,7 +517,6 @@ class Service:
         doc = {
             "op": req.op,
             "params": req.params,
-            "tt": req.tt,
             "budget": self._effective_budget(req.budget, remaining),
             "tenant_remaining": (
                 max(0, tenant.max_steps - tenant.steps)

@@ -14,7 +14,7 @@ pickled dicts — the same "picklable description" discipline as
 
 request::
 
-    {"op": ..., "params": {...}, "tt": ... | None, "budget": ... | None,
+    {"op": ..., "params": {...}, "budget": ... | None,
      "tenant_remaining": int | None}
 
 reply::
@@ -82,7 +82,7 @@ def _worker_main(
     """
     # Imports happen here (not module top) so a fork()ed child touches
     # the engine modules only after it owns them.
-    from repro.bdd import stats, tt
+    from repro.bdd import stats
     from repro.bdd.governor import Budget
     from repro.service.shards import ShardPool
 
@@ -100,7 +100,6 @@ def _worker_main(
         poison = None
         try:
             poison = _faults.fire(f"service:{family}", parent=fault_parent)
-            tt_over = msg.get("tt") or {}
             budget = dict(msg.get("budget") or {})
             tenant_remaining = msg.get("tenant_remaining")
             tenant_budget = (
@@ -108,15 +107,12 @@ def _worker_main(
                 if tenant_remaining is not None
                 else None
             )
-            with tt.overrides(
-                fastpath=tt_over.get("fastpath"), window=tt_over.get("window")
-            ):
-                served_family, result = pool.execute(
-                    msg["op"],
-                    msg.get("params") or {},
-                    budget=budget or None,
-                    tenant_budget=tenant_budget,
-                )
+            served_family, result = pool.execute(
+                msg["op"],
+                msg.get("params") or {},
+                budget=budget or None,
+                tenant_budget=tenant_budget,
+            )
             reply = {"ok": True, "family": served_family, "result": result}
         except Exception as exc:  # noqa: BLE001 - serialized, not dropped
             reply = {

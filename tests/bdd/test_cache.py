@@ -202,7 +202,6 @@ class TestCacheBookkeeping:
             "epoch",
             "op_calls",
             "kernel_steps",
-            "tt",
             "alive_nodes",
             "peak_nodes",
         }
@@ -211,16 +210,6 @@ class TestCacheBookkeeping:
         totals = st_["totals"]
         assert totals["hits"] + totals["misses"] > 0
         assert 0.0 <= totals["hit_rate"] <= 1.0
-        tt_block = st_["tt"]
-        assert set(tt_block) == {
-            "enabled",
-            "window",
-            "fast_hits",
-            "fast_misses",
-            "words",
-            "fast_hit_rate",
-        }
-        assert 0.0 <= tt_block["fast_hit_rate"] <= 1.0
         assert st_["op_calls"] >= 1
         assert st_["peak_nodes"] >= st_["alive_nodes"]
 

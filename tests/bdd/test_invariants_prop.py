@@ -9,6 +9,11 @@ Sensitivity: every seeded corruption class in a payload (dangling
 child, flipped edge breaking the order, redundant node, duplicate
 triple, out-of-range root, output above its support) is flagged with
 the right violation ``kind``.
+
+Parity: the kernel's operations on 9-variable orders with inputs above
+outputs return the very node the recursive reference engine
+(:mod:`repro.bdd.reference`) builds — within one manager, canonicity
+turns semantic agreement into id equality.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from __future__ import annotations
 import copy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDD, check
+from repro.bdd import BDD, check, from_truth_table, reference
 from repro.bdd.io import charfunction_payload, load_charfunction_payload
 from repro.cf.charfun import CharFunction
 from repro.errors import IntegrityError
@@ -26,6 +31,17 @@ from repro.errors import IntegrityError
 from tests.conftest import spec_strategy
 
 SETTINGS = settings(max_examples=40, deadline=None)
+
+N_VARS = 9
+TABLE = st.lists(st.integers(0, 1), min_size=1 << N_VARS, max_size=1 << N_VARS)
+
+
+def build_mixed(table, n_outputs=2):
+    """Manager over inputs x* above outputs y*, holding one function."""
+    bdd = BDD()
+    vids = bdd.add_vars([f"x{i}" for i in range(N_VARS - n_outputs)])
+    vids += bdd.add_vars([f"y{i}" for i in range(n_outputs)], kind="output")
+    return bdd, vids, from_truth_table(bdd, vids, table)
 
 
 def build_cf(spec) -> CharFunction:
@@ -198,3 +214,29 @@ def test_counters_increment():
     assert after["payload_checks"] == before["payload_checks"] + 1
     assert after["manager_checks"] == before["manager_checks"] + 1
     assert after["violations"] == before["violations"]
+
+
+class TestKernelParity:
+    @settings(max_examples=20, deadline=None)
+    @given(TABLE, TABLE)
+    def test_ops_match_reference(self, ta, tb):
+        bdd, vids, f = build_mixed(ta)
+        g = from_truth_table(bdd, vids, tb)
+        h = bdd.apply_or(f, bdd.var(vids[-1]))
+        gid = bdd.var_group(vids[:2])
+        assert bdd.apply_and(f, g) == reference.ref_apply_and(bdd, f, g)
+        assert bdd.apply_xor(f, g) == reference.ref_apply_xor(bdd, f, g)
+        assert bdd.apply_not(f) == reference.ref_apply_not(bdd, f)
+        assert bdd.ite(f, g, h) == reference.ref_ite(bdd, f, g, h)
+        assert bdd.exists(f, gid) == reference.ref_exists(bdd, f, gid)
+        assert bdd.forall(g, gid) == reference.ref_forall(bdd, g, gid)
+
+    @settings(max_examples=15, deadline=None)
+    @given(TABLE)
+    def test_ops_on_cofactored_operands(self, table):
+        # Operands rooted at different levels, quantified near the bottom.
+        bdd, vids, f = build_mixed(table)
+        g = bdd.apply_not(bdd.cofactor(f, vids[0], 1))
+        gid = bdd.var_group(vids[-3:])
+        assert bdd.apply_and(f, g) == reference.ref_apply_and(bdd, f, g)
+        assert bdd.exists(f, gid) == reference.ref_exists(bdd, f, gid)

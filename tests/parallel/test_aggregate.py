@@ -5,6 +5,9 @@ mini-sweep, the additive engine counters aggregated from worker
 processes equal the totals of the same sweep run in-process.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.bdd import stats
@@ -85,3 +88,17 @@ class TestMergeWorkerTotals:
             assert delta[key] == 4
         # Peaks don't difference: report the absolute peak seen after.
         assert delta["peak_nodes"] == 70
+
+    def test_counter_delta_covers_perfbench_counters(self):
+        """Every engine counter the row benchmark's traced mode reads
+        (``BDD_COUNTERS`` in perfbench/rep.py) is in ``counter_delta``."""
+        rep = Path(__file__).resolve().parents[2] / "perfbench" / "rep.py"
+        (wanted,) = [
+            ast.literal_eval(node.value)
+            for node in ast.parse(rep.read_text()).body
+            if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets if isinstance(t, ast.Name)]
+            == ["BDD_COUNTERS"]
+        ]
+        delta = stats.counter_delta(stats.snapshot(), stats.snapshot())
+        assert set(wanted) <= set(delta)

@@ -52,15 +52,23 @@ class TestParse:
             line(id="x", op="decompose", params={"benchmark": "a"}),  # no cut
             line(id="x", op="pla_reduce", params={}),  # no pla text
             line(id="x", op="ping", tenant=""),
-            line(id="x", op="ping", tt={"window": "wide"}),
-            line(id="x", op="ping", tt={"fastpath": 1}),
-            line(id="x", op="ping", tt={"unknown": True}),
             line(id="x", op="ping", budget={"max_ops": 1}),
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ProtocolError):
             parse_request(bad)
+
+    @pytest.mark.parametrize(
+        "tt", [{"window": "wide"}, {"fastpath": 1}, {"unknown": True}]
+    )
+    def test_ignores_legacy_tt(self, tt):
+        """v3 clients may still send the removed fast-path ``tt`` member:
+        it is accepted and the request is the one without it."""
+        params = {"benchmark": "3-5 RNS"}
+        req = parse_request(line(id="x", op="width_reduce", params=params, tt=tt))
+        assert req == parse_request(line(id="x", op="width_reduce", params=params))
+        assert req.key() == query_key("width_reduce", params)
 
     def test_invalid_utf8(self):
         with pytest.raises(ProtocolError):
@@ -79,15 +87,15 @@ class TestQueryKey:
         b = query_key("width_reduce", {"benchmark": "3-7 RNS"})
         assert a != b
 
-    def test_tt_overrides_change_key(self):
+    def test_execution_overrides_change_key(self):
         """Execution settings are part of query identity — two requests
-        with different tt windows must never coalesce onto one run."""
-        base = query_key("width_reduce", {"benchmark": "3-5 RNS"})
-        tt = query_key("width_reduce", {"benchmark": "3-5 RNS"}, tt={"window": 4})
-        budget = query_key(
-            "width_reduce", {"benchmark": "3-5 RNS"}, budget={"max_steps": 10}
-        )
-        assert len({base, tt, budget}) == 3
+        with different budgets or deadlines must never coalesce onto
+        one run."""
+        params = {"benchmark": "3-5 RNS"}
+        base = query_key("width_reduce", params)
+        budget = query_key("width_reduce", params, budget={"max_steps": 10})
+        deadline = query_key("width_reduce", params, deadline_ms=1500)
+        assert len({base, budget, deadline}) == 3
 
     def test_request_key_matches_function(self):
         req = parse_request(
@@ -105,14 +113,22 @@ class TestDocRoundtrip:
                 op="width_reduce",
                 params={"benchmark": "3-5 RNS"},
                 tenant="ci",
-                tt={"window": 4},
                 budget={"max_steps": 1000},
             )
         )
         again = Request.from_doc(req.doc(), id="replayed")
         assert again.key() == req.key()
         assert again.tenant == "ci"
-        assert again.tt == {"window": 4}
+        assert again.budget == {"max_steps": 1000}
+
+    def test_doc_with_stored_tt_still_loads(self):
+        """Journals written while the fast path existed store a ``tt``
+        member in each doc; replay ignores it."""
+        req = parse_request(
+            line(id="r1", op="width_reduce", params={"benchmark": "3-5 RNS"})
+        )
+        old_doc = {**req.doc(), "tt": {"fastpath": False, "window": 6}}
+        assert Request.from_doc(old_doc).key() == req.key()
 
 
 class TestResponses:

@@ -48,7 +48,7 @@ class TestWarmShards:
     def test_second_identical_query_is_warmer(self):
         """The acceptance criterion: serving the same query twice from
         one warm shard shows a higher computed-table hit rate than the
-        cold run — the manager (computed tables, tt memo) persisted.
+        cold run — the manager and its computed tables persisted.
         The result cache is disabled here so the repeat actually
         reaches the engine (its zero-pass behaviour has its own test)."""
 
@@ -85,7 +85,7 @@ class TestWarmShards:
         shard = stats["shards"]["rns"]
         assert shard["queries"] == 1
         assert shard["cold_builds"] == 1
-        for key in ("op_calls", "kernel_steps", "cache_hits", "tt_fast_hits"):
+        for key in ("op_calls", "kernel_steps", "cache_hits", "cache_misses"):
             assert key in shard["counters"]
 
     def test_families_do_not_share_shards(self):
@@ -360,9 +360,9 @@ class TestJournalIntegration:
         finally:
             journal.close()
 
-    def test_tt_override_rides_the_journal(self, tmp_path):
-        """A journaled request's tt/budget overrides are part of its
-        doc, so a replayed execution uses the same settings."""
+    def test_budget_override_rides_the_journal(self, tmp_path):
+        """A journaled request's budget override is part of its doc,
+        so a replayed execution uses the same settings."""
         jpath = tmp_path / "svc.journal"
 
         async def main():
@@ -373,7 +373,7 @@ class TestJournalIntegration:
                         id="q1",
                         op="width_reduce",
                         params={"benchmark": BENCH},
-                        tt={"fastpath": False},
+                        budget={"max_steps": 123456},
                     )
                 )
             finally:
@@ -383,8 +383,9 @@ class TestJournalIntegration:
         journal = Journal(jpath, resume=True)
         try:
             (record,) = journal.pending()
-            assert record["doc"]["tt"] == {"fastpath": False}
+            assert record["doc"]["budget"] == {"max_steps": 123456}
             replayed = Request.from_doc(record["doc"])
-            assert replayed.tt == {"fastpath": False}
+            assert replayed.budget == {"max_steps": 123456}
+            assert replayed.key() == record["key"]
         finally:
             journal.close()

@@ -31,7 +31,6 @@ def wr_doc(benchmark: str = BENCH, **over) -> dict:
     return {
         "op": "width_reduce",
         "params": {"benchmark": benchmark},
-        "tt": None,
         "budget": None,
         "tenant_remaining": None,
         **over,
