@@ -67,19 +67,25 @@ __all__ = [
 #: ``2**32 - 2``.
 MAX_NODE_ID = (1 << 32) - 2
 
-#: Knuth's multiplicative-hash constant (2**32 / golden ratio): spreads
-#: the structured low bits of packed keys across the table.
+#: Multiplier of the slot index: the 32-bit golden-ratio constant
+#: ``2**32 / phi`` repeated in both halves of a 64-bit word.
 #:
-#: The slot index is ``((key ^ (key >> 30) ^ (key >> 59)) * _MULT) &
-#: mask``.  The xor-fold shifts are deliberately *not* multiples of 32:
-#: multiplication modulo a power of two is a ring homomorphism, so with
-#: an aligned fold like ``key ^ (key >> 32)`` the high key field
-#: cancels out of the masked product and the slot of ``pack2(a, b)``
-#: depends on ``a ^ b`` alone — and BDD workloads are full of sibling
-#: pairs sharing an xor (this was measured as ~700k cache evictions on
-#: one million kernel steps).  Shifting by 30/59 staggers every packed
-#: field into the low bits before the multiply.
-_MULT = 2654435761
+#: The slot of a key with ``2**k`` slots is the top ``k`` bits of a
+#: 64-bit product, ``((key ^ key >> 64) * _MULT & _M64) >> (64 - k)``
+#: (Fibonacci hashing).  It must not be the *low* ``k`` bits: those
+#: depend only on the low ``k`` bits of the key, whatever the fold.  An
+#: aligned fold then makes ``pack2(a, b)`` depend on ``a ^ b`` alone
+#: (sibling pairs collide), and any fold leaves fields that are fixed
+#: within one call in the low bits: a cofactor key ``pack3(a, vid,
+#: bit)`` folded at shifts 30/59 has low bits ``bit ^ vid << 2 ^ a <<
+#: 5``, so one cofactor reached 32 of 1024 slots, never grew the table
+#: and evicted its own entries (DESIGN §10).  High product bits depend
+#: on every bit of the folded key.  The fold ``key ^ key >> 64`` brings
+#: the operand of a three-field key into the low 64 bits; a field
+#: packed at bit 32 enters the top bits multiplied by ``_MULT mod
+#: 2**32``, hence the repeated half.
+_MULT = 0x9E3779B99E3779B9
+_M64 = (1 << 64) - 1
 
 _EMPTY = -1
 
@@ -207,7 +213,12 @@ class PackedCache:
     overwrites one — counted as an eviction.  Lookups and inserts go
     through the ``get_n1/2/3`` / ``put_n1/2/3`` methods, specialized by
     how many node operands carry generation stamps; ``kind`` records
-    the key layout for :meth:`purge` and :meth:`entries`.
+    the key layout for :meth:`purge` and :meth:`entries`.  Only the
+    stamp lists the kind uses are allocated (the others stay ``None``).
+
+    The slot of ``key`` is ``((key ^ key >> 64) * _MULT & _M64) >>
+    shift``; the kernel and the ``BDD`` wrappers inline the same
+    expression (see :data:`_MULT`).
     """
 
     __slots__ = (
@@ -216,6 +227,7 @@ class PackedCache:
         "kind",
         "validator",
         "mask",
+        "shift",
         "keys",
         "res",
         "s1",
@@ -238,26 +250,35 @@ class PackedCache:
         self.capacity = cap
         self.kind = kind
         self.validator = validator
-        slots = min(cap, 1 << 10)
-        self.mask = slots - 1
-        self.keys = [_EMPTY] * slots
-        self.res = [0] * slots
-        self.s1 = [0] * slots
-        self.s2 = [0] * slots
-        self.s3 = [0] * slots
-        self.s4 = [0] * slots
         self.size = 0
         self.hits = 0
         self.misses = 0
         self.inserts = 0
         self.evictions = 0
         self.invalidations = 0
+        self._allocate(min(cap, 1 << 10))
+
+    def _allocate(self, slots: int) -> None:
+        """Fresh empty slot arrays: keys, results and the kind's stamps."""
+        self.mask = slots - 1
+        self.shift = 65 - slots.bit_length()
+        self.keys = [_EMPTY] * slots
+        self.res = [0] * slots
+        n_stamps = len(_KIND_SPECS[self.kind][1]) + 1
+        self.s1, self.s2, self.s3, self.s4 = (
+            [0] * slots if j < n_stamps else None for j in range(4)
+        )
+
+    def _value_lists(self) -> list[list]:
+        """The result list and the allocated stamp lists, in order."""
+        lists = (self.res, self.s1, self.s2, self.s3, self.s4)
+        return [lst for lst in lists if lst is not None]
 
     # -- probes (one method call per lookup; no tuples anywhere) -------
 
     def get_n1(self, key: int, n1: int, gen: list) -> int:
         """Probe an entry stamped on one operand node; -1 on miss."""
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & self.mask
+        i = ((key ^ key >> 64) * _MULT & _M64) >> self.shift
         keys = self.keys
         if keys[i] != key:
             i ^= 1
@@ -273,7 +294,7 @@ class PackedCache:
 
     def get_n2(self, key: int, n1: int, n2: int, gen: list) -> int:
         """Probe an entry stamped on two operand nodes; -1 on miss."""
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & self.mask
+        i = ((key ^ key >> 64) * _MULT & _M64) >> self.shift
         keys = self.keys
         if keys[i] != key:
             i ^= 1
@@ -289,7 +310,7 @@ class PackedCache:
 
     def get_n3(self, key: int, n1: int, n2: int, n3: int, gen: list) -> int:
         """Probe an entry stamped on three operand nodes; -1 on miss."""
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & self.mask
+        i = ((key ^ key >> 64) * _MULT & _M64) >> self.shift
         keys = self.keys
         if keys[i] != key:
             i ^= 1
@@ -310,7 +331,7 @@ class PackedCache:
 
     def _slot(self, key: int) -> int:
         """Pick the slot for an insert: match > empty > overwrite."""
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & self.mask
+        i = ((key ^ key >> 64) * _MULT & _M64) >> self.shift
         keys = self.keys
         k = keys[i]
         if k == key:
@@ -340,7 +361,7 @@ class PackedCache:
         """Slot of ``key`` after a rehash (re-placing it if it was the
         rare entry dropped by a double collision during the rebuild)."""
         keys = self.keys
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & self.mask
+        i = ((key ^ key >> 64) * _MULT & _M64) >> self.shift
         if keys[i] == key:
             return i
         j = i ^ 1
@@ -383,34 +404,30 @@ class PackedCache:
         slots = self.mask + 1
         if slots >= self.capacity or self.size * 8 <= slots * 5:
             return False
-        old = (self.keys, self.res, self.s1, self.s2, self.s3, self.s4)
-        slots <<= 1
-        self.mask = mask = slots - 1
-        self.keys = keys = [_EMPTY] * slots
-        self.res = [0] * slots
-        self.s1 = [0] * slots
-        self.s2 = [0] * slots
-        self.s3 = [0] * slots
-        self.s4 = [0] * slots
-        self.size = 0
-        okeys, ores, os1, os2, os3, os4 = old
-        new = (self.res, self.s1, self.s2, self.s3, self.s4)
+        okeys = self.keys
+        old = self._value_lists()
+        self._allocate(slots << 1)
+        keys = self.keys
+        shift = self.shift
+        new = self._value_lists()
+        size = 0
         for j, k in enumerate(okeys):
             if k == _EMPTY:
                 continue
-            i = ((k ^ (k >> 30) ^ (k >> 59)) * _MULT) & mask
+            i = ((k ^ k >> 64) * _MULT & _M64) >> shift
             if keys[i] != _EMPTY:
                 i ^= 1
                 if keys[i] != _EMPTY:
                     # Rare double collision during rehash: drop the
                     # older entry (a computed table may forget).
                     self.evictions += 1
-                    i = ((k ^ (k >> 30) ^ (k >> 59)) * _MULT) & mask
-                    self.size -= 1
+                    i ^= 1
+                    size -= 1
             keys[i] = k
-            self.size += 1
-            for dst, src in zip(new, (ores, os1, os2, os3, os4)):
+            size += 1
+            for dst, src in zip(new, old):
                 dst[i] = src[j]
+        self.size = size
         return True
 
     # -- maintenance and audits ---------------------------------------

@@ -47,15 +47,13 @@ from repro.bdd.hashtable import (
     KIND_ITE,
     KIND_NOT,
     KIND_QUANT,
+    _M64,
+    _MULT,
     PackedCache,
 )
 
 _GOVERNED = _governor._ACTIVE  # the live budget stack (empty = ungoverned)
 _CHECK_MASK = _governor.CHECK_INTERVAL - 1
-
-#: Knuth multiplicative-hash constant (kept in sync with hashtable.py;
-#: the probe sequences are inlined here on the hot path).
-_MULT = 2654435761
 
 #: Level assigned to terminal nodes: below every variable.
 TERMINAL_LEVEL = 1 << 30
@@ -378,10 +376,21 @@ _TERMINAL = tuple(spec.terminal for spec in OPS)
 _COMMUTATIVE = tuple(spec.commutative for spec in OPS)
 
 
+#: Tiers keyed per variable or variable group: their entries are rarely
+#: reused across calls, so they get a quarter of the capacity.
+_PER_VARIABLE_KINDS = (KIND_COFACTOR, KIND_COMPOSE, KIND_QUANT)
+
+
 def make_kernel_tiers(capacity: int) -> tuple[PackedCache, ...]:
     """Fresh per-operator computed tables, indexed by opcode."""
     return tuple(
-        PackedCache(spec.name, capacity, spec.kind, spec.validator) for spec in OPS
+        PackedCache(
+            spec.name,
+            capacity >> 2 if spec.kind in _PER_VARIABLE_KINDS else capacity,
+            spec.kind,
+            spec.validator,
+        )
+        for spec in OPS
     )
 
 
@@ -460,7 +469,7 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
 
                 if op <= OP_XOR:
                     key = (a << 32) | b
-                    i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & cache.mask
+                    i = ((key ^ key >> 64) * _MULT & _M64) >> cache.shift
                     ck = cache.keys
                     if ck[i] != key:
                         i ^= 1
@@ -494,7 +503,7 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                     push((_VISIT, op, a0, b0, -1))
 
                 elif op == OP_NOT:
-                    i = ((a ^ (a >> 30) ^ (a >> 59)) * _MULT) & cache.mask
+                    i = ((a ^ a >> 64) * _MULT & _M64) >> cache.shift
                     ck = cache.keys
                     if ck[i] != a:
                         i ^= 1

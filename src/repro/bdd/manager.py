@@ -23,9 +23,9 @@ library is used.  Design notes:
   kernel in :mod:`repro.bdd.kernel` — one explicit-stack evaluator
   driven by an operator table, so no operation can hit Python's
   recursion limit.  Each operator owns a bounded computed table
-  (:class:`~repro.bdd.kernel.OpCache`); entries are generation-stamped
-  so reordering and garbage collection invalidate *selectively*
-  instead of clearing the tables (see :meth:`cache_stats`).
+  (:class:`~repro.bdd.hashtable.PackedCache`); entries are
+  generation-stamped so reordering and garbage collection invalidate
+  *selectively* instead of clearing the tables (see :meth:`cache_stats`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.bdd import stats
-from repro.bdd.hashtable import _MULT, UniqueTable, check_capacity, pack2
+from repro.bdd.hashtable import (
+    _M64,
+    _MULT,
+    PackedCache,
+    UniqueTable,
+    check_capacity,
+    pack2,
+)
 from repro.bdd.kernel import (
     FALSE,
     TRUE,
@@ -55,7 +62,8 @@ from repro.errors import ForeignNodeError, VariableError
 
 __all__ = ["BDD", "FALSE", "TRUE", "TERMINAL_LEVEL"]
 
-#: Default capacity of each operation-cache tier.
+#: Default capacity of each operation-cache tier (the cofactor, compose
+#: and quantifier tiers take a quarter: see kernel.make_kernel_tiers).
 DEFAULT_CACHE_CAPACITY = 1 << 18
 
 
@@ -86,7 +94,7 @@ class BDD:
         # Tiered operation caches: one per kernel opcode, plus named
         # tiers created on demand by the analyses (tot/compat/gcf/...).
         self._cache_capacity = cache_capacity
-        self._kernel_tiers: tuple[OpCache, ...] = make_kernel_tiers(cache_capacity)
+        self._kernel_tiers: tuple[PackedCache, ...] = make_kernel_tiers(cache_capacity)
         self._named_tiers: dict[str, OpCache] = {}
         # Reorder epoch: bumped by every adjacent-level swap.  Node ids
         # keep denoting the same function across swaps, so the kernel
@@ -236,20 +244,6 @@ class BDD:
             self._peak_alive = n
         return u
 
-    def _free_node(self, u: int) -> None:
-        """Physically free one internal node (reorder/GC internal API).
-
-        Bumps the node's generation so cache entries referencing the id
-        lazily read as stale; the id goes back on the free list.
-        """
-        self._unique[self._vid[u]].data.pop(pack2(self._lo[u], self._hi[u]), None)
-        self._vid[u] = -1
-        self._lo[u] = -1
-        self._hi[u] = -1
-        self._gen[u] += 1
-        self._free.append(u)
-        self._n_alive -= 1
-
     def var(self, name_or_vid: int | str) -> int:
         """The function of a single variable."""
         vid = self.vid(name_or_vid) if isinstance(name_or_vid, str) else name_or_vid
@@ -283,7 +277,7 @@ class BDD:
             f, g = g, f
         tier = self._kernel_tiers[OP_AND]
         key = (f << 32) | g
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & tier.mask
+        i = ((key ^ key >> 64) * _MULT & _M64) >> tier.shift
         keys = tier.keys
         if keys[i] != key:
             i ^= 1
@@ -308,7 +302,7 @@ class BDD:
             f, g = g, f
         tier = self._kernel_tiers[OP_OR]
         key = (f << 32) | g
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & tier.mask
+        i = ((key ^ key >> 64) * _MULT & _M64) >> tier.shift
         keys = tier.keys
         if keys[i] != key:
             i ^= 1
@@ -330,7 +324,7 @@ class BDD:
         if f > 1:  # both internal: probe; else let the kernel normalize
             tier = self._kernel_tiers[OP_XOR]
             key = (f << 32) | g
-            i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & tier.mask
+            i = ((key ^ key >> 64) * _MULT & _M64) >> tier.shift
             keys = tier.keys
             if keys[i] != key:
                 i ^= 1
@@ -352,7 +346,7 @@ class BDD:
         if f <= 1:
             return 1 - f
         tier = self._kernel_tiers[OP_NOT]
-        i = ((f ^ (f >> 30) ^ (f >> 59)) * _MULT) & tier.mask
+        i = ((f ^ f >> 64) * _MULT & _M64) >> tier.shift
         keys = tier.keys
         if keys[i] != f:
             i ^= 1
@@ -403,7 +397,7 @@ class BDD:
             return g
         tier = self._kernel_tiers[OP_ITE]
         key = (f << 64) | (g << 32) | h
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & tier.mask
+        i = ((key ^ key >> 64) * _MULT & _M64) >> tier.shift
         keys = tier.keys
         if keys[i] != key:
             i ^= 1

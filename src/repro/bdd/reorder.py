@@ -30,6 +30,7 @@ from collections.abc import Callable, Sequence
 from repro.bdd import check
 from repro.bdd import governor as _governor
 from repro.bdd import reference
+from repro.bdd.hashtable import check_capacity
 from repro.bdd.manager import FALSE, BDD
 from repro.bdd.traversal import crossing_counts
 from repro.errors import OrderingError
@@ -54,14 +55,16 @@ class SiftSession:
     """Owns reference counts and performs adjacent swaps for one reorder.
 
     The session must be the only thing creating or destroying nodes
-    while it is active (its methods call ``bdd.mk`` internally and keep
-    the reference counts consistent).
+    while it is active: its swap allocates and frees nodes itself and
+    keeps the reference counts, the live size and the manager's
+    alive/peak counters.
     """
 
     def __init__(self, bdd: BDD, roots: Sequence[int]):
         self.bdd = bdd
         self.roots = list(dict.fromkeys(roots))  # dedupe, keep order
-        self._ref: dict[int, int] = {}
+        # Reference counts indexed by node id (0 for free ids).
+        self._ref: list[int] = []
         self.size = 0
         # Crossing sections of one root, kept by track_widths().
         self.sections: list[set[int]] | None = None
@@ -70,15 +73,15 @@ class SiftSession:
 
     def _init_refs(self) -> None:
         bdd = self.bdd
-        ref = self._ref
+        lo_arr, hi_arr = bdd._lo, bdd._hi
+        ref = self._ref = [0] * len(bdd._vid)
         for u in bdd.reachable(self.roots):
             if u > 1:
-                ref[u] = 0
                 self.size += 1
-        for u in list(ref):
-            for child in (bdd.lo(u), bdd.hi(u)):
-                if child > 1:
-                    ref[child] += 1
+                if lo_arr[u] > 1:
+                    ref[lo_arr[u]] += 1
+                if hi_arr[u] > 1:
+                    ref[hi_arr[u]] += 1
         for r in self.roots:
             if r > 1:
                 ref[r] += 1
@@ -127,63 +130,30 @@ class SiftSession:
         out.discard(FALSE)
         return out
 
-    # -- reference-count helpers --------------------------------------
-
-    def _incref(self, u: int) -> None:
-        if u > 1:
-            self._ref[u] = self._ref.get(u, 0) + 1
-
-    def _decref(self, u: int) -> None:
-        if u <= 1:
-            return
-        ref = self._ref
-        bdd = self.bdd
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            if v <= 1:
-                continue
-            n = ref[v] - 1
-            if n:
-                ref[v] = n
-                continue
-            # Node died: remove it physically and release its children.
-            # Deaths can cascade arbitrarily deep, hence the explicit
-            # stack.  _free_node bumps the node's generation, which is
-            # what lazily invalidates cache entries touching it.
-            del ref[v]
-            self.size -= 1
-            stack.append(bdd._lo[v])
-            stack.append(bdd._hi[v])
-            bdd._free_node(v)
-
-    def _mk(self, vid: int, lo: int, hi: int) -> int:
-        """mk() that keeps reference counts and the live size exact."""
-        if lo == hi:
-            return lo
-        bdd = self.bdd
-        u = bdd._unique[vid].data.get((lo << 32) | hi)
-        if u is not None:
-            return u
-        u = bdd.mk(vid, lo, hi)
-        self._ref[u] = 0
-        self.size += 1
-        self._incref(lo)
-        self._incref(hi)
-        return u
-
     # -- the swap ------------------------------------------------------
 
     def swap(self, level: int) -> None:
-        """Exchange the variables at ``level`` and ``level + 1`` in place."""
+        """Exchange the variables at ``level`` and ``level + 1`` in place.
+
+        One loop over the x-level nodes with a y-level child ("movers"):
+        each is relabelled y over two x-level nodes found in or added to
+        the x unique table, and the y-level children it no longer
+        references are freed when their count drops to zero.  Node
+        allocation (as ``bdd.mk``: free list first, then a fresh id) and
+        freeing (as ``bdd.collect``) are inlined, each in one probe of
+        the unique table.
+        """
         bdd = self.bdd
         if level < 0 or level + 1 >= bdd.num_vars:
             raise OrderingError(f"cannot swap level {level} of {bdd.num_vars} variables")
         x = bdd._var_at_level[level]
         y = bdd._var_at_level[level + 1]
-        vid_arr, lo_arr, hi_arr = bdd._vid, bdd._lo, bdd._hi
+        vid_arr, lo_arr, hi_arr, gen = bdd._vid, bdd._lo, bdd._hi, bdd._gen
+        free = bdd._free
+        ref = self._ref
         x_data = bdd._unique[x].data
         y_data = bdd._unique[y].data
+        x_get = x_data.get
 
         movers = [
             u
@@ -193,29 +163,128 @@ class SiftSession:
         ]
         for u in movers:
             del x_data[(lo_arr[u] << 32) | hi_arr[u]]
-        for u in movers:
-            f0, f1 = lo_arr[u], hi_arr[u]
-            if f0 > 1 and vid_arr[f0] == y:
-                f00, f01 = lo_arr[f0], hi_arr[f0]
-            else:
-                f00 = f01 = f0
-            if f1 > 1 and vid_arr[f1] == y:
-                f10, f11 = lo_arr[f1], hi_arr[f1]
-            else:
-                f10 = f11 = f1
-            new_lo = self._mk(x, f00, f10)
-            new_hi = self._mk(x, f01, f11)
-            key = (new_lo << 32) | new_hi
-            if key in y_data:  # pragma: no cover - impossible by construction
-                raise OrderingError("swap produced a duplicate node")
-            self._incref(new_lo)
-            self._incref(new_hi)
-            vid_arr[u] = y
-            lo_arr[u] = new_lo
-            hi_arr[u] = new_hi
-            y_data[key] = u
-            self._decref(f0)
-            self._decref(f1)
+        n_alive = bdd._n_alive
+        peak = bdd._peak_alive
+        size = self.size
+        try:
+            for u in movers:
+                f0, f1 = lo_arr[u], hi_arr[u]
+                if f0 > 1 and vid_arr[f0] == y:
+                    f00, f01 = lo_arr[f0], hi_arr[f0]
+                else:
+                    f00 = f01 = f0
+                if f1 > 1 and vid_arr[f1] == y:
+                    f10, f11 = lo_arr[f1], hi_arr[f1]
+                else:
+                    f10 = f11 = f1
+                # new_lo = mk(x, f00, f10), counting references.
+                if f00 == f10:
+                    new_lo = f00
+                else:
+                    key = (f00 << 32) | f10
+                    new_lo = x_get(key)
+                    if new_lo is None:
+                        if free:
+                            new_lo = free.pop()
+                            vid_arr[new_lo] = x
+                            lo_arr[new_lo] = f00
+                            hi_arr[new_lo] = f10
+                        else:
+                            new_lo = len(vid_arr)
+                            check_capacity(new_lo)
+                            vid_arr.append(x)
+                            lo_arr.append(f00)
+                            hi_arr.append(f10)
+                            gen.append(0)
+                            ref.append(0)
+                        x_data[key] = new_lo
+                        n_alive += 1
+                        if n_alive > peak:
+                            peak = n_alive
+                        size += 1
+                        if f00 > 1:
+                            ref[f00] += 1
+                        if f10 > 1:
+                            ref[f10] += 1
+                # new_hi = mk(x, f01, f11), likewise.
+                if f01 == f11:
+                    new_hi = f01
+                else:
+                    key = (f01 << 32) | f11
+                    new_hi = x_get(key)
+                    if new_hi is None:
+                        if free:
+                            new_hi = free.pop()
+                            vid_arr[new_hi] = x
+                            lo_arr[new_hi] = f01
+                            hi_arr[new_hi] = f11
+                        else:
+                            new_hi = len(vid_arr)
+                            check_capacity(new_hi)
+                            vid_arr.append(x)
+                            lo_arr.append(f01)
+                            hi_arr.append(f11)
+                            gen.append(0)
+                            ref.append(0)
+                        x_data[key] = new_hi
+                        n_alive += 1
+                        if n_alive > peak:
+                            peak = n_alive
+                        size += 1
+                        if f01 > 1:
+                            ref[f01] += 1
+                        if f11 > 1:
+                            ref[f11] += 1
+                key = (new_lo << 32) | new_hi
+                if key in y_data:  # pragma: no cover - impossible by construction
+                    raise OrderingError("swap produced a duplicate node")
+                if new_lo > 1:
+                    ref[new_lo] += 1
+                if new_hi > 1:
+                    ref[new_hi] += 1
+                vid_arr[u] = y
+                lo_arr[u] = new_lo
+                hi_arr[u] = new_hi
+                y_data[key] = u
+                # Release the old children.  Only a y-level child can die
+                # (a lower one is still referenced through new_lo or
+                # new_hi), so a dying f0 has children f00/f01 and a dying
+                # f1 has f10/f11.  Those survive: f00 and f10 are new_lo
+                # or its children, f01 and f11 likewise for new_hi, so a
+                # death never cascades.  Freeing bumps the generation,
+                # which lazily invalidates cache entries touching the id.
+                if f0 > 1:
+                    n = ref[f0] - 1
+                    ref[f0] = n
+                    if not n:
+                        del y_data[(f00 << 32) | f01]
+                        vid_arr[f0] = lo_arr[f0] = hi_arr[f0] = -1
+                        gen[f0] += 1
+                        free.append(f0)
+                        n_alive -= 1
+                        size -= 1
+                        if f00 > 1:
+                            ref[f00] -= 1
+                        if f01 > 1:
+                            ref[f01] -= 1
+                if f1 > 1:
+                    n = ref[f1] - 1
+                    ref[f1] = n
+                    if not n:
+                        del y_data[(f10 << 32) | f11]
+                        vid_arr[f1] = lo_arr[f1] = hi_arr[f1] = -1
+                        gen[f1] += 1
+                        free.append(f1)
+                        n_alive -= 1
+                        size -= 1
+                        if f10 > 1:
+                            ref[f10] -= 1
+                        if f11 > 1:
+                            ref[f11] -= 1
+        finally:
+            bdd._n_alive = n_alive
+            bdd._peak_alive = peak
+            self.size = size
 
         bdd._var_at_level[level] = y
         bdd._var_at_level[level + 1] = x
@@ -223,8 +292,8 @@ class SiftSession:
         bdd._level_of[y] = level
         # No clear_cache(): node ids keep denoting the same functions,
         # so semantic cache entries stay valid.  Entries touching nodes
-        # freed by the _decref cascade above die via their generation
-        # stamps; order-sensitive tiers retire on the epoch bump.
+        # freed above die via their generation stamps; order-sensitive
+        # tiers retire on the epoch bump.
         bdd._note_reorder()
         sections = self.sections
         if sections is not None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -59,6 +60,12 @@ _STOP = "__stop__"
 
 #: Seconds between liveness probes while waiting on a worker reply.
 _POLL_S = 0.1
+
+#: Daemon-side ends of the worker pipes of this process.  A forked
+#: worker closes every one it inherited: a kept copy of its own end (or
+#: a sibling's) holds the pipe open, so after the daemon dies ``recv``
+#: never sees EOF and the worker lives on, orphaned.
+_DAEMON_ENDS: weakref.WeakSet = weakref.WeakSet()
 
 
 def _worker_main(
@@ -80,6 +87,8 @@ def _worker_main(
     so the same spec drives both worker-process kills and in-process
     degradations, exactly like row tasks' ``fault_parent``.
     """
+    for end in list(_DAEMON_ENDS):
+        end.close()
     # Imports happen here (not module top) so a fork()ed child touches
     # the engine modules only after it owns them.
     from repro.bdd import stats
@@ -231,6 +240,7 @@ class ShardWorker:
     def _spawn(self) -> None:
         ctx = multiprocessing.get_context("fork")
         self._conn, child_conn = ctx.Pipe(duplex=True)
+        _DAEMON_ENDS.add(self._conn)
         self.process = ctx.Process(
             target=_worker_main,
             args=(

@@ -223,3 +223,42 @@ class TestCacheBookkeeping:
         tier = bdd.cache_stats()["tiers"]["or"]
         assert tier["size"] == 0
         assert tier["invalidations"] >= size
+
+
+class TestCofactorCost:
+    def test_cofactor_is_one_memoized_walk(self):
+        """A cofactor visits each node above its level about once.
+
+        Pins the slot-index fix: with the former index every key of one
+        cofactor call shared its low five folded bits, the call reached
+        32 of 1024 slots and re-expanded shared subgraphs — the level-34
+        cofactor of this 327-node CF (the 4-digit decimal adder's F2
+        partition, sifted as in Table 4) took 161k kernel steps.
+        """
+        from repro.benchfns.registry import get_benchmark
+        from repro.bdd.transfer import transfer
+        from repro.experiments.runner import build_sifted_cf
+
+        isf = get_benchmark("4-digit decimal adder").build()
+        cf = build_sifted_cf(isf.bipartition()[1])
+        src = cf.bdd
+        assert cf.num_nodes() == 327
+        # The same order in a fresh manager: source vid -> its level.
+        vid_map = {v: level for level, v in enumerate(src._var_at_level)}
+        deep = 0
+        for vid in sorted(cf.input_vids, key=src.level_of_vid):
+            bdd = BDD()  # fresh manager and tiers for every cofactor
+            for v in src._var_at_level:
+                bdd.add_var(src.name_of(v), src.kind_of(v))
+            (root,) = transfer(src, bdd, [cf.root], vid_map)
+            assert bdd.count_nodes(root) == 327
+            level = vid_map[vid]
+            upper = sum(
+                1 for u in bdd.reachable([root]) if u > 1 and bdd.level(u) <= level
+            )
+            before = bdd._kernel_steps
+            bdd.cofactor(root, vid_map[vid], 0)
+            steps = bdd._kernel_steps - before
+            assert steps <= 2 * upper + 1, (src.name_of(vid), steps, upper)
+            deep = max(deep, upper)
+        assert deep > 300  # the bound was checked on the deep levels too

@@ -14,7 +14,11 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CapacityError
 from repro.bdd.hashtable import (
     KIND_BINARY,
+    KIND_COFACTOR,
+    KIND_COMPOSE,
     KIND_ITE,
+    KIND_NOT,
+    KIND_QUANT,
     MAX_NODE_ID,
     PackedCache,
     UniqueTable,
@@ -194,6 +198,75 @@ class TestPackedCache:
                 break
         else:
             raise AssertionError("every same-xor pair was evicted")
+
+    @pytest.mark.parametrize(
+        "kind, key_of, nodes_of",
+        [
+            # One cofactor call: fixed vid and bit, sequential operands.
+            (KIND_COFACTOR, lambda a: pack3(a, 34, 1), lambda a: (a,)),
+            # One quantification: fixed group id.
+            (KIND_QUANT, lambda a: pack2(a, 3), lambda a: (a,)),
+            # One composition: fixed vid and substituted function.
+            (KIND_COMPOSE, lambda a: pack3(a, 5, 77), lambda a: (a, 77)),
+            # ITE triples over neighbouring nodes.
+            (KIND_ITE, lambda a: pack3(a, a + 1, a + 2), lambda a: (a, a + 1, a + 2)),
+        ],
+    )
+    def test_fixed_field_layouts_spread(self, kind, key_of, nodes_of):
+        """Regression: keys sharing a fixed field must reach the whole table.
+
+        The former slot index kept the low bits of the product, which
+        depend only on the low bits of the folded key; a cofactor key's
+        low five folded bits are ``bit ^ vid << 2``, fixed within one
+        call, so a call reached 32 of 1024 slots, never grew the table
+        and evicted itself.  The tier must grow and keep most keys.
+        """
+        n = 2000
+        gen = _stamps(n + 8)
+        c = PackedCache("t", 1 << 14, kind)
+        put = {1: c.put_n1, 2: c.put_n2, 3: c.put_n3}
+        get = {1: c.get_n1, 2: c.get_n2, 3: c.get_n3}
+        for a in range(2, 2 + n):
+            nodes = nodes_of(a)
+            put[len(nodes)](key_of(a), *nodes, a, gen)
+        assert c.mask + 1 > 1 << 10  # the tier grew
+        resident = 0
+        for a in range(2, 2 + n):
+            nodes = nodes_of(a)
+            resident += get[len(nodes)](key_of(a), *nodes, gen) == a
+        assert resident > 0.9 * n
+        assert c.evictions < 0.1 * n
+
+    @pytest.mark.parametrize(
+        "kind, key_of, n_stamps",
+        [
+            (KIND_NOT, lambda f, g: f, 2),
+            (KIND_COFACTOR, lambda f, g: pack3(f, 4, 1), 2),
+            (KIND_QUANT, lambda f, g: pack2(f, 2), 2),
+            (KIND_COMPOSE, lambda f, g: pack3(f, 4, g), 3),
+        ],
+    )
+    def test_reduced_stamp_kinds_round_trip(self, kind, key_of, n_stamps):
+        """Kinds with fewer than four stamps allocate only the lists they
+        use, and ``entries()``/``purge()`` read exactly those."""
+        gen = _stamps(64)
+        c = PackedCache("t", 1 << 12, kind)
+        assert [lst is not None for lst in (c.s1, c.s2, c.s3, c.s4)] == [
+            j < n_stamps for j in range(4)
+        ]
+        for f, g, r in ((9, 11, 13), (10, 12, 21)):
+            if n_stamps == 2:
+                c.put_n1(key_of(f, g), f, r, gen)
+            else:
+                c.put_n2(key_of(f, g), f, g, r, gen)
+        gen[13] = 5  # the first result goes stale
+        values = sorted(v for _, v in c.entries())
+        assert values == [(13,) + (0,) * n_stamps, (21,) + (0,) * n_stamps]
+        assert c.purge(gen, epoch=0) == 1
+        assert [v[0] for _, v in c.entries()] == [21]
+        gen[12 if n_stamps == 3 else 10] += 1  # the last operand goes stale
+        assert c.purge(gen, epoch=0) == 1
+        assert c.size == 0 and c.invalidations == 2
 
     def test_three_operand_kind(self):
         gen = _stamps(64)

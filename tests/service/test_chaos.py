@@ -71,6 +71,15 @@ def start_daemon(tmp_path, *args, env=None):
     return proc, sock
 
 
+def process_alive(pid):
+    """True while ``pid`` runs (a zombie left for init counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
 def stop_daemon(proc, sock):
     if proc.poll() is None:
         try:
@@ -252,8 +261,13 @@ class TestKillEquivalenceUnderChaos:
                 break
             assert time.monotonic() < deadline, "attempt never journaled"
             time.sleep(0.02)
+        with SocketClient(sock) as probe:
+            workers = probe.call("stats")["result"]["workers"]["processes"]
+        worker_pids = [w["pid"] for w in workers.values()]
+        assert worker_pids
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
+        killed_at = time.monotonic()
         client.close()
 
         # Drain with no fault armed: the journaled request completes.
@@ -279,6 +293,18 @@ class TestKillEquivalenceUnderChaos:
             clean = {k: r.result for k, r in jc.results().items()}
         assert killed == clean
         assert len(killed) == 1
+
+        # The killed daemon's workers exit on their own: the wedged one
+        # once its 10 s hang ends and its pipe to the daemon is closed.
+        try:
+            while any(map(process_alive, worker_pids)):
+                assert time.monotonic() < killed_at + 30, (
+                    f"worker(s) {worker_pids} outlived the killed daemon"
+                )
+                time.sleep(0.1)
+        finally:
+            for pid in filter(process_alive, worker_pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestDeadlineUnderChaos:
